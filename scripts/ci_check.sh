@@ -21,29 +21,33 @@ cmake --build build -j"${JOBS}"
 (cd build && ctest --output-on-failure -j"${JOBS}")
 
 echo "== tier-1b: core-bench smoke (equivalence only, no timing gates) =="
-# Seeded per-algorithm (LR, SVR, GB) naive-vs-incremental-vs-warm run; the
-# command exits non-zero if any prediction or error metric diverges
-# bitwise on the incremental path, or beyond the documented tolerance on
-# the warm path (DESIGN.md section 14). Timings are machine-local noise in
-# CI, so no speedup thresholds are asserted here (see DESIGN.md section 10
-# for the benchmark methodology).
+# Seeded per-algorithm (LR, SVR, GB) naive-vs-incremental run; the command
+# exits non-zero if any prediction or error metric diverges bitwise on the
+# incremental path. Timings are machine-local noise in CI, so no speedup
+# thresholds are asserted here (see DESIGN.md section 10 for the benchmark
+# methodology).
 ./build/tools/vupred core-bench --vehicles=8 --max-vehicles=1 \
   --eval-days=8 --lookback=30 --train-window=40 --topk=10 \
   --json=build/BENCH_core_smoke.json
 grep -q '"bench": "core"' build/BENCH_core_smoke.json
 grep -q '"window_stage_speedup"' build/BENCH_core_smoke.json
-grep -q '"verify": "exact-match"' build/BENCH_core_smoke.json
-# One entry per algorithm, and the warm-capable ones carry the tolerance
-# verdict plus the warm-start counters.
+# One entry per algorithm, each with its own exact-match verdict, and no
+# leftover warm-start fields (refits are always cold, DESIGN.md section 14).
 for alg in LR SVR GB; do
   grep -q "\"algorithm\": \"${alg}\"" build/BENCH_core_smoke.json || {
     echo "missing ${alg} entry in BENCH_core_smoke.json" >&2
     exit 1
   }
 done
-grep -q '"warm_verify": "tolerance-match"' build/BENCH_core_smoke.json
-grep -q '"warm_train_speedup"' build/BENCH_core_smoke.json
-grep -q '"warm_hits"' build/BENCH_core_smoke.json
+exact_matches="$(grep -c '"verify": "exact-match"' build/BENCH_core_smoke.json || true)"
+if [[ "${exact_matches}" != 3 ]]; then
+  echo "BENCH_core_smoke.json has ${exact_matches} exact-match verdicts, want 3" >&2
+  exit 1
+fi
+if grep -q '"warm_' build/BENCH_core_smoke.json; then
+  echo "BENCH_core_smoke.json still carries warm_* fields" >&2
+  exit 1
+fi
 
 echo "== tier-1c: ingest-bench smoke (WAL recovery equivalence, no timing gates) =="
 # Encode -> decode -> WAL+ingest -> recover over a seeded stream; the
@@ -105,15 +109,17 @@ grep -q '"verify": "lr-bitwise-float32-within-0.05"' build/BENCH_serve_smoke.jso
 
 echo "== tier-1e: bench JSON schema versioning =="
 # Every bench report carries the shared schema_version so downstream
-# tooling can detect field changes. core moved to v2 (per-algorithm
-# entries + warm-start fields), serve to v2 (sharded + synthetic mode
+# tooling can detect field changes. core is at v3 (per-algorithm entries,
+# warm-start fields removed), serve at v2 (sharded + synthetic mode
 # fields); the others are still v1.
-for bench_json in build/BENCH_core_smoke.json build/BENCH_serve_smoke.json; do
-  grep -q '"schema_version": 2' "${bench_json}" || {
-    echo "${bench_json} is not schema v2" >&2
-    exit 1
-  }
-done
+grep -q '"schema_version": 3' build/BENCH_core_smoke.json || {
+  echo "build/BENCH_core_smoke.json is not schema v3" >&2
+  exit 1
+}
+grep -q '"schema_version": 2' build/BENCH_serve_smoke.json || {
+  echo "build/BENCH_serve_smoke.json is not schema v2" >&2
+  exit 1
+}
 for bench_json in build/BENCH_ingest_smoke.json \
   build/BENCH_cluster_smoke.json build/BENCH_publish_smoke.json; do
   grep -q '"schema_version": 1' "${bench_json}" || {

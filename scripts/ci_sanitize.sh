@@ -19,14 +19,6 @@ cmake --build --preset sanitize -j"${JOBS}"
 ctest --preset sanitize -j"${JOBS}" -R \
   'core_windowing_test|stats_acf_test|core_feature_selection_test|core_incremental_training_test|ml_grid_search_test'
 
-# Warm-start surface: the SMO warm path (kernel-row LRU cache spans,
-# shrinking working-set indexing, beta shift/repair arithmetic) and the
-# forecaster's captured-state lifecycle are new index-heavy paths; the
-# equivalence harness doubles as a UB probe because every fit is replayed
-# cold and warm over the same buffers.
-ctest --preset sanitize -j"${JOBS}" -R \
-  'ml_warmstart_equivalence_test|ml_kernel_cache_property_test|ml_svr_shrinking_test|core_warmstart_training_test'
-
 # Deep seeded fuzz of the wire decoder under the sanitizers: 50k mutated
 # streams (vs. 5k in the tier-1 run). The decoder parses every byte as
 # hostile, so this is the pass where an out-of-bounds read or an

@@ -4,7 +4,8 @@
 # and tracer (concurrent instruments + export), the prediction service
 # (admission control, load shedding, deadline fan-out), the model
 # registry (circuit breakers, generation hot-swap), the background
-# registry scrubber and the chaos suites, including hierarchy fallback
+# registry scrubber, parallel grid search (jobs > 1 must reproduce the
+# serial scores) and the chaos suites, including hierarchy fallback
 # reads racing generation swaps and canary shadow-scoring racing
 # promote/rollback flips.
 # Races found here are overload/reload bugs the release build may only
@@ -26,7 +27,7 @@ TARGETS=(
   serve_model_registry_test
   serve_registry_shard_test
   serve_scrubber_test
-  ml_warmstart_concurrency_test
+  ml_grid_search_test
   integration_chaos_test
   integration_registry_chaos_test
   integration_shard_chaos_test
@@ -37,5 +38,5 @@ TARGETS=(
 cmake --preset tsan
 cmake --build --preset tsan -j"${JOBS}" --target "${TARGETS[@]}"
 ctest --preset tsan -j"${JOBS}" \
-  -R '^(common_thread_pool_test|common_clock_test|obs_metrics_registry_concurrency_test|obs_trace_test|serve_prediction_service_test|serve_model_registry_test|serve_registry_shard_test|serve_scrubber_test|ml_warmstart_concurrency_test|integration_chaos_test|integration_registry_chaos_test|integration_shard_chaos_test|integration_hierarchy_chaos_test|integration_publish_chaos_test)$' \
+  -R '^(common_thread_pool_test|common_clock_test|obs_metrics_registry_concurrency_test|obs_trace_test|serve_prediction_service_test|serve_model_registry_test|serve_registry_shard_test|serve_scrubber_test|ml_grid_search_test|integration_chaos_test|integration_registry_chaos_test|integration_shard_chaos_test|integration_hierarchy_chaos_test|integration_publish_chaos_test)$' \
   "$@"

@@ -2,7 +2,6 @@
 #define VUPRED_ML_GRADIENT_BOOSTING_H_
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "ml/model.h"
@@ -56,19 +55,6 @@ class GradientBoosting : public Regressor {
   const std::vector<RegressionTree>& trees() const { return trees_; }
   size_t num_features() const { return num_features_; }
 
-  /// Arms the next Fit to continue boosting from a previous ensemble
-  /// instead of stage 0: `trees` and `init` are adopted as-is, the
-  /// ensemble prediction is re-evaluated on the new training window, and
-  /// `extra_stages` additional stages are appended with the same stage
-  /// arithmetic as a cold fit (so a warm fit of an adjacent window
-  /// corrects the ensemble where the one shifted record changed the
-  /// residuals). Consumed by the next Fit whatever its outcome; silently
-  /// ignored (cold fit) when `num_features` differs from the new design
-  /// matrix or `trees` is empty. training_loss_per_stage() then covers
-  /// only the appended stages.
-  void WarmStart(std::vector<RegressionTree> trees, double init,
-                 size_t num_features, size_t extra_stages);
-
   Status Fit(const Matrix& x, std::span<const double> y) override;
   StatusOr<double> PredictOne(std::span<const double> features) const override;
   std::string name() const override { return "GB"; }
@@ -92,25 +78,14 @@ class GradientBoosting : public Regressor {
   }
   size_t num_stages() const { return trees_.size(); }
   double initial_prediction() const { return init_; }
-  /// True when the last Fit consumed a WarmStart payload.
-  bool last_fit_warm_started() const { return last_fit_warm_started_; }
 
  private:
-  struct WarmRequest {
-    std::vector<RegressionTree> trees;
-    double init = 0.0;
-    size_t num_features = 0;
-    size_t extra_stages = 0;
-  };
-
   Options options_;
   bool fitted_ = false;
   size_t num_features_ = 0;
   double init_ = 0.0;
   std::vector<RegressionTree> trees_;
   std::vector<double> stage_losses_;
-  bool last_fit_warm_started_ = false;
-  std::optional<WarmRequest> warm_request_;
 };
 
 }  // namespace vup

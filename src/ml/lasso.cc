@@ -17,17 +17,8 @@ double SoftThreshold(double v, double threshold) {
 
 }  // namespace
 
-void Lasso::WarmStart(std::vector<double> coefficients) {
-  warm_coef_ = std::move(coefficients);
-}
-
 Status Lasso::Fit(const Matrix& x, std::span<const double> y) {
-  std::vector<double> warm;
-  const bool have_warm = warm_coef_.has_value();
-  if (have_warm) warm = std::move(*warm_coef_);
-  warm_coef_.reset();
   fitted_ = false;
-  last_fit_warm_started_ = false;
   if (x.rows() == 0 || x.cols() == 0) {
     return Status::InvalidArgument("empty design matrix");
   }
@@ -67,36 +58,15 @@ Status Lasso::Fit(const Matrix& x, std::span<const double> y) {
     for (size_t r = 0; r < n; ++r) col_sq[c] += xc(r, c) * xc(r, c);
   }
 
-  std::vector<double> residual;
+  coef_.assign(d, 0.0);
+  std::vector<double> residual = yc;  // r = yc - Xc w, with w = 0.
   const double n_alpha = options_.alpha * static_cast<double>(n);
 
-  const bool warm_started = have_warm && warm.size() == d;
-  if (warm_started) {
-    last_fit_warm_started_ = true;
-    coef_ = std::move(warm);
-    // Dead (constant) columns stay at zero weight, exactly as cold.
-    for (size_t c = 0; c < d; ++c) {
-      if (col_sq[c] == 0.0) coef_[c] = 0.0;
-    }
-    // Recompute the residual of the starting point on the new data.
-    residual = yc;
-    for (size_t c = 0; c < d; ++c) {
-      if (coef_[c] == 0.0) continue;
-      for (size_t r = 0; r < n; ++r) residual[r] -= coef_[c] * xc(r, c);
-    }
-  } else {
-    coef_.assign(d, 0.0);
-    residual = yc;  // r = yc - Xc w, with w = 0.
-  }
-
-  // One coordinate-descent pass over `cols`; returns the largest
-  // coefficient move. Shared by the cold full sweeps and the warm
-  // active-set sweeps (identical inner arithmetic, so the cold path is
-  // bitwise-unchanged).
-  auto sweep_columns = [&](std::span<const size_t> cols) {
+  iterations_run_ = 0;
+  for (size_t sweep = 0; sweep < options_.max_iter; ++sweep) {
     ++iterations_run_;
     double max_delta = 0.0;
-    for (size_t c : cols) {
+    for (size_t c = 0; c < d; ++c) {
       if (col_sq[c] == 0.0) continue;
       double w_old = coef_[c];
       // rho = x_c . (residual + x_c * w_old)
@@ -113,35 +83,7 @@ Status Lasso::Fit(const Matrix& x, std::span<const double> y) {
         max_delta = std::max(max_delta, std::abs(delta));
       }
     }
-    return max_delta;
-  };
-
-  std::vector<size_t> all_cols(d);
-  for (size_t c = 0; c < d; ++c) all_cols[c] = c;
-
-  iterations_run_ = 0;
-  if (warm_started) {
-    // Active-set strategy: polish the nonzero coordinates first (cheap
-    // sweeps over a few columns), then run a full verification sweep. A
-    // full sweep that still moves something re-derives the active set
-    // and repeats; one that does not is the cold path's own convergence
-    // criterion, so the fixed point is shared.
-    std::vector<size_t> active_cols;
-    while (iterations_run_ < options_.max_iter) {
-      active_cols.clear();
-      for (size_t c = 0; c < d; ++c) {
-        if (coef_[c] != 0.0) active_cols.push_back(c);
-      }
-      while (!active_cols.empty() && iterations_run_ < options_.max_iter &&
-             sweep_columns(active_cols) >= options_.tol) {
-      }
-      if (iterations_run_ >= options_.max_iter) break;
-      if (sweep_columns(all_cols) < options_.tol) break;
-    }
-  } else {
-    for (size_t sweep = 0; sweep < options_.max_iter; ++sweep) {
-      if (sweep_columns(all_cols) < options_.tol) break;
-    }
+    if (max_delta < options_.tol) break;
   }
 
   intercept_ = y_mean;

@@ -2,7 +2,6 @@
 #define VUPRED_ML_SVR_H_
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "ml/kernel.h"
@@ -36,20 +35,6 @@ class Svr : public Regressor {
     size_t max_sweeps = 300;
   };
 
-  /// Diagnostics of the last Fit (cold or warm).
-  struct FitStats {
-    bool warm_started = false;
-    size_t sweeps = 0;
-    /// Most rows simultaneously out of the shrinking working set.
-    size_t shrunk_rows_peak = 0;
-    /// Rows brought back by the final full KKT pass(es): nonzero means
-    /// the shrinking heuristic skipped a row that was still violating.
-    size_t kkt_reactivations = 0;
-    /// Number of full KKT passes that found a violation and resumed.
-    size_t unshrink_passes = 0;
-    KernelRowCache::Stats kernel_cache;  // Zero for the cold (full-Gram) path.
-  };
-
   Svr() = default;
   explicit Svr(Options options) : options_(options) {}
 
@@ -72,37 +57,6 @@ class Svr : public Regressor {
   const std::vector<double>& dual_coefficients() const { return beta_; }
   size_t num_features() const { return num_features_; }
 
-  /// Arms the next Fit to resume SMO from `beta0` (one dual coefficient
-  /// per training row of the upcoming design matrix) instead of zero,
-  /// solving over a `kernel_cache_rows`-row LRU kernel cache instead of
-  /// the precomputed full Gram matrix, with a shrinking heuristic that
-  /// drops bound-clamped, KKT-satisfied rows from the working set.
-  ///
-  /// Consumed by the next Fit whatever its outcome; silently ignored
-  /// (cold fit) when beta0's length does not match the row count. The
-  /// starting point is clamped to the box and repaired to sum(beta) = 0,
-  /// so any beta0 is safe -- a good one (the previous adjacent window's
-  /// solution through ShiftSvrBetaForward) just converges in far fewer
-  /// sweeps.
-  ///
-  /// Convergence contract: the warm path stops on the same
-  /// sweep-improvement tolerance as the cold path, then runs a full
-  /// first-order KKT pass over ALL rows -- shrunk ones included -- and
-  /// resumes sweeping with everything reactivated if a violating pair
-  /// remains (within sqrt(tol); see DESIGN.md section 14). Shrinking
-  /// therefore never changes what "converged" means, only how much work
-  /// reaching it takes.
-  ///
-  /// `max_sweeps` caps the warm fit's sweep count (0 means inherit
-  /// options_.max_sweeps). On problems where the cold solver is
-  /// budget-bound -- it exhausts max_sweeps instead of meeting tol --
-  /// neither tolerance fires early, so the warm win comes from this
-  /// reduced budget: the shifted previous solution starts close enough
-  /// that far fewer sweeps reach the same neighborhood (the equivalence
-  /// harness certifies how close; see DESIGN.md section 14).
-  void WarmStart(std::vector<double> beta0, size_t kernel_cache_rows,
-                 size_t max_sweeps = 0);
-
   Status Fit(const Matrix& x, std::span<const double> y) override;
   StatusOr<double> PredictOne(std::span<const double> features) const override;
   std::string name() const override { return "SVR"; }
@@ -112,57 +66,21 @@ class Svr : public Regressor {
   bool fitted() const override { return fitted_; }
   size_t ResidentBytes() const override {
     return sizeof(*this) +
-           (support_.rows() * support_.cols() + beta_.capacity() +
-            full_beta_.capacity()) *
+           (support_.rows() * support_.cols() + beta_.capacity()) *
                sizeof(double);
   }
 
   /// Number of support vectors (beta != 0) after fitting.
   size_t num_support_vectors() const { return support_.rows(); }
   double bias() const { return bias_; }
-  size_t sweeps_run() const { return sweeps_run_; }
-  const FitStats& last_fit_stats() const { return fit_stats_; }
-
-  /// The full-length dual vector of the last Fit (one beta per training
-  /// row, zeros included) -- the payload a warm start resumes from.
-  const std::vector<double>& last_full_beta() const { return full_beta_; }
-
-  /// Dual objective value 1/2 b^T K b - y^T b + eps*||b||_1 at the last
-  /// Fit's solution; the scalar the equivalence harness compares between
-  /// cold and warm fits.
-  double last_dual_objective() const { return dual_objective_; }
 
  private:
-  struct WarmRequest {
-    std::vector<double> beta0;
-    size_t kernel_cache_rows = 0;
-    size_t max_sweeps = 0;  // 0 = inherit options_.max_sweeps.
-  };
-
-  /// Warm SMO over the kernel-row cache with shrinking; `beta` is the
-  /// sanitized starting point (box-clamped, sum repaired).
-  void SolveWarm(const Matrix& x, std::span<const double> y,
-                 const KernelParams& kernel, std::vector<double>& beta,
-                 std::vector<double>& f, size_t kernel_cache_rows,
-                 size_t max_sweeps);
-
-  /// Shared fit tail: bias from free-SV KKT conditions, support-vector
-  /// compaction, dual objective, resolved-kernel capture.
-  void FinishFit(const Matrix& x, std::span<const double> y,
-                 const std::vector<double>& beta,
-                 const std::vector<double>& f, const KernelParams& kernel);
-
   Options options_;
   bool fitted_ = false;
   size_t num_features_ = 0;
   Matrix support_;                 // Support vectors, one per row.
   std::vector<double> beta_;       // Dual coefficient per support vector.
-  std::vector<double> full_beta_;  // Dual coefficient per training row.
   double bias_ = 0.0;
-  double dual_objective_ = 0.0;
-  size_t sweeps_run_ = 0;
-  FitStats fit_stats_;
-  std::optional<WarmRequest> warm_request_;
 };
 
 }  // namespace vup

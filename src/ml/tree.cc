@@ -104,8 +104,13 @@ int RegressionTree::Grow(const Matrix& x, std::span<const double> y,
       if (gain > best_gain) {
         best_gain = gain;
         best_feature = static_cast<int>(f);
-        best_threshold =
-            0.5 * (x(sorted[pos], f) + x(sorted[pos + 1], f));
+        // The midpoint rounds up to the right value for adjacent doubles
+        // and overflows to inf near DBL_MAX; either way `<= threshold`
+        // would send every row left. The left value always separates.
+        const double lo = x(sorted[pos], f);
+        const double hi = x(sorted[pos + 1], f);
+        const double mid = 0.5 * (lo + hi);
+        best_threshold = mid < hi ? mid : lo;
       }
     }
   }

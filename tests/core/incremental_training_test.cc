@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -173,6 +174,44 @@ TEST(IncrementalTrainingTest, DatasetSwitchResetsCaches) {
   StatusOr<double> b = forecaster.PredictTarget(second, 48);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_TRUE(SameBits(a.value(), b.value()));
+}
+
+TEST(IncrementalTrainingTest, ConcurrentForecastersOnSharedDatasetMatchSerial) {
+  // Forecasters share nothing but the read-only dataset: several threads
+  // walking the same spans reproduce the serial predictions bit for bit.
+  VehicleDataset ds = MakeDataset(100, 67);
+  ForecasterConfig cfg;
+  cfg.algorithm = Algorithm::kSvr;
+  cfg.windowing.lookback_w = 12;
+  cfg.selection.top_k = 5;
+  constexpr size_t kSteps = 6;
+  auto walk = [&ds, &cfg](std::vector<double>* out) {
+    VehicleForecaster fc(cfg);
+    for (size_t step = 0; step < kSteps; ++step) {
+      ASSERT_TRUE(fc.Train(ds, 20 + step, 60 + step).ok());
+      StatusOr<double> p = fc.PredictTarget(ds, 60 + step);
+      ASSERT_TRUE(p.ok()) << p.status().ToString();
+      out->push_back(p.value());
+    }
+  };
+  std::vector<double> serial;
+  walk(&serial);
+  ASSERT_EQ(serial.size(), kSteps);
+
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<double>> parallel(kThreads);
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back(walk, &parallel[t]);
+  }
+  for (std::thread& w : workers) w.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(parallel[t].size(), kSteps) << "thread " << t;
+    for (size_t i = 0; i < kSteps; ++i) {
+      EXPECT_TRUE(SameBits(parallel[t][i], serial[i]))
+          << "thread " << t << " step " << i;
+    }
+  }
 }
 
 TEST(IncrementalTrainingTest, InvalidSpansFailLikeNaive) {

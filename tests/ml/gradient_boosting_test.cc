@@ -126,6 +126,28 @@ TEST(GbTest, DeterministicForSeed) {
   EXPECT_DOUBLE_EQ(a.PredictOne(probe).value(), b.PredictOne(probe).value());
 }
 
+TEST(GbTest, RefitMatchesFreshFitBitwise) {
+  // A Fit keeps nothing from the previous one: refitting a used model
+  // reproduces a fresh model exactly.
+  Matrix x, other_x;
+  std::vector<double> y, other_y;
+  MakeFriedmanish(&x, &y, 50, 53);
+  MakeFriedmanish(&other_x, &other_y, 40, 54);
+  GradientBoosting::Options opts;
+  opts.n_estimators = 15;
+  GradientBoosting fresh(opts), reused(opts);
+  ASSERT_TRUE(fresh.Fit(x, y).ok());
+  ASSERT_TRUE(reused.Fit(other_x, other_y).ok());
+  ASSERT_TRUE(reused.Fit(x, y).ok());
+  EXPECT_EQ(reused.num_stages(), 15u);
+  EXPECT_EQ(reused.initial_prediction(), fresh.initial_prediction());
+  for (size_t r = 0; r < x.rows(); ++r) {
+    EXPECT_EQ(reused.PredictOne(x.Row(r)).value(),
+              fresh.PredictOne(x.Row(r)).value())
+        << "row " << r;
+  }
+}
+
 TEST(GbTest, ErrorHandling) {
   GradientBoosting gb;
   EXPECT_TRUE(gb.Fit(Matrix(), {}).IsInvalidArgument());

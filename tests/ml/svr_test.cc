@@ -66,6 +66,30 @@ TEST(KernelTest, MatrixIsSymmetricWithUnitDiagonal) {
   }
 }
 
+TEST(KernelTest, MatrixMatchesKernelFunctionBitwise) {
+  // KernelMatrix fills k(j, i) from k(i, j); that is exact only because
+  // every kernel is bitwise-symmetric in floating point.
+  Rng rng(303);
+  Matrix x(24, 4);
+  for (size_t r = 0; r < 24; ++r) {
+    for (size_t c = 0; c < 4; ++c) x(r, c) = rng.Normal();
+  }
+  for (KernelType type :
+       {KernelType::kRbf, KernelType::kLinear, KernelType::kPolynomial}) {
+    KernelParams params;
+    params.type = type;
+    params.coef0 = 1.0;
+    params.degree = 2;
+    Matrix k = KernelMatrix(params, x);
+    for (size_t i = 0; i < 24; ++i) {
+      for (size_t j = 0; j < 24; ++j) {
+        ASSERT_EQ(k(i, j), KernelFunction(params, x.Row(i), x.Row(j)))
+            << KernelTypeToString(type) << " (" << i << ", " << j << ")";
+      }
+    }
+  }
+}
+
 TEST(SvrTest, FitsConstantFunction) {
   Matrix x = Matrix::FromRows({{0}, {1}, {2}, {3}});
   std::vector<double> y = {5, 5, 5, 5};

@@ -95,6 +95,29 @@ TEST(TreeTest, IdenticalFeatureRowsCannotSplit) {
   EXPECT_DOUBLE_EQ(tree.PredictOne(std::vector<double>{1, 2}).value(), 2.0);
 }
 
+/// Fits a stump on two rows with feature values a < b and expects a clean
+/// split: each row lands in its own leaf.
+void ExpectTwoRowSplit(double a, double b) {
+  Matrix x = Matrix::FromRows({{a}, {b}});
+  std::vector<double> y = {0.0, 10.0};
+  RegressionTree tree(RegressionTree::Options{.max_depth = 1});
+  ASSERT_TRUE(tree.Fit(x, y).ok());
+  EXPECT_EQ(tree.num_leaves(), 2u);
+  EXPECT_EQ(tree.PredictOne(std::vector<double>{a}).value(), 0.0);
+  EXPECT_EQ(tree.PredictOne(std::vector<double>{b}).value(), 10.0);
+}
+
+TEST(TreeTest, SplitsAdjacentDoubles) {
+  // 0.5 * (a + b) rounds up to b, so a midpoint threshold separates
+  // nothing.
+  ExpectTwoRowSplit(1.0 + 0x1p-52, 1.0 + 0x1p-51);
+}
+
+TEST(TreeTest, SplitsValuesWhoseSumOverflows) {
+  // a + b overflows to inf, and so does the midpoint.
+  ExpectTwoRowSplit(1e308, 1.5e308);
+}
+
 TEST(TreeTest, RelabelLeavesWithMedian) {
   Matrix x(6, 1);
   std::vector<double> grad(6);

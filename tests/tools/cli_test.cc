@@ -515,6 +515,11 @@ TEST(CliTest, CoreBenchRejectsBadArguments) {
   EXPECT_EQ(CliExitCode("core-bench --no-such-flag=1"), 2);
 }
 
+TEST(CliTest, CoreBenchHasNoTrainSpeedupGate) {
+  // Refits are always cold, so there is no second train path to gate.
+  EXPECT_EQ(CliExitCode("core-bench --min-train-speedup=1"), 2);
+}
+
 TEST(CliTest, IngestBenchVerifiesRecoveryAndWritesJson) {
   std::string dir = TempDir();
   std::string json_path = dir + "/BENCH_ingest.json";

@@ -1815,47 +1815,13 @@ double StageSpeedup(double naive_seconds, double incremental_seconds) {
   return naive_seconds > 0.0 ? naive_seconds / 1e-9 : 1.0;
 }
 
-/// Per-algorithm warm-start equivalence tolerance: the max absolute
-/// per-prediction delta (hours) between the warm path and the cold
-/// incremental reference (DESIGN.md section 14). Warm starts legitimately
-/// change the solver's iterate path, so predictions agree only within
-/// these bounds: Lasso converges to the same coordinate-descent fixed
-/// point (tightest), the SVR dual has flat epsilon-insensitive directions
-/// so distinct tol-converged optima predict slightly differently, and GB
-/// continues a one-step-stale ensemble (loosest). The PE delta needs no
-/// separate gate: |delta PE| <= 100 * sum|delta pred| / sum|actual| by the
-/// triangle inequality, so bounding predictions bounds PE; the observed
-/// PE delta is still reported.
-double WarmPredictionToleranceFor(Algorithm a) {
-  switch (a) {
-    case Algorithm::kLasso:
-      return 0.05;
-    case Algorithm::kSvr:
-      return 3.0;
-    case Algorithm::kGradientBoosting:
-      return 3.0;
-    default:
-      return 0.0;
-  }
-}
-
-/// Everything core-bench measures for one algorithm: the naive reference,
-/// the bitwise-equivalent incremental path, and (for warm-capable
-/// algorithms) the opt-in warm-start path with its tolerance verdict and
-/// decision counters.
+/// Everything core-bench measures for one algorithm: the naive reference
+/// and the bitwise-equivalent incremental path.
 struct CoreAlgorithmReport {
   std::string name;
-  Algorithm algorithm = Algorithm::kLinearRegression;
   size_t predictions = 0;
   CorePathResult naive;
   CorePathResult incremental;
-  bool warm_capable = false;
-  CorePathResult warm;
-  double warm_max_pred_delta = 0.0;
-  double warm_max_pe_delta = 0.0;
-  double warm_hits = 0.0;
-  double warm_cold_starts = 0.0;
-  double warm_invalidations = 0.0;
 };
 
 int RunCoreBench(const Flags& flags) {
@@ -1877,12 +1843,10 @@ int RunCoreBench(const Flags& flags) {
   const size_t jobs =
       static_cast<size_t>(std::max<long long>(flags.GetInt("jobs", 1), 1));
   const std::string json_path = flags.Get("json", "BENCH_core.json");
-  // Optional gates (0 = off). CI smoke runs leave both off: timings are
-  // not asserted there by design.
+  // Optional gate (0 = off). CI smoke runs leave it off: timings are not
+  // asserted there by design.
   const long long min_window_speedup =
       std::max<long long>(flags.GetInt("min-window-speedup", 0), 0);
-  const double min_train_speedup =
-      std::max(flags.GetDouble("min-train-speedup", 0.0), 0.0);
 
   // Algorithm list: --algorithm=X keeps its single-algorithm meaning and
   // wins over --algorithms; the default benches the paper's three ML
@@ -1950,7 +1914,6 @@ int RunCoreBench(const Flags& flags) {
   std::vector<CoreAlgorithmReport> reports;
   for (Algorithm algorithm : algorithms) {
     CoreAlgorithmReport report;
-    report.algorithm = algorithm;
     report.name = std::string(AlgorithmToString(algorithm));
     cfg.forecaster.algorithm = algorithm;
 
@@ -1998,56 +1961,6 @@ int RunCoreBench(const Flags& flags) {
       report.predictions += a.predictions.size();
     }
 
-    // Opt-in third path: warm-started solvers, verified against the
-    // incremental reference within the per-algorithm tolerances.
-    report.warm_capable = AlgorithmSupportsWarmStart(algorithm);
-    if (report.warm_capable) {
-      const std::string alg_label = report.name;
-      const obs::LabelSet warm_labels = {{"algorithm", alg_label}};
-      obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
-      EvaluationConfig warm_cfg = cfg;
-      warm_cfg.forecaster.incremental_training = true;
-      warm_cfg.forecaster.warm_start.enabled = true;
-      StatusOr<CorePathResult> warm = RunCorePath(datasets, warm_cfg, jobs);
-      if (!warm.ok()) return Fail(warm.status());
-      report.warm = std::move(warm.value());
-      obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snapshot();
-      auto delta = [&](std::string_view name) {
-        return after.Value(name, warm_labels, 0.0) -
-               before.Value(name, warm_labels, 0.0);
-      };
-      report.warm_hits = delta("vupred_train_warmstart_hits_total");
-      report.warm_cold_starts =
-          delta("vupred_train_warmstart_cold_starts_total");
-      report.warm_invalidations =
-          delta("vupred_train_warmstart_invalidations_total");
-
-      const double tolerance = WarmPredictionToleranceFor(algorithm);
-      for (size_t v = 0; v < datasets.size(); ++v) {
-        const VehicleEvaluation& b = report.incremental.evals[v];
-        const VehicleEvaluation& w = report.warm.evals[v];
-        if (b.predictions.size() != w.predictions.size()) {
-          return Fail(Status::Internal(StrFormat(
-              "%s vehicle #%zu: warm prediction counts differ (%zu vs %zu)",
-              report.name.c_str(), v, w.predictions.size(),
-              b.predictions.size())));
-        }
-        for (size_t i = 0; i < b.predictions.size(); ++i) {
-          report.warm_max_pred_delta =
-              std::max(report.warm_max_pred_delta,
-                       std::abs(w.predictions[i] - b.predictions[i]));
-        }
-        report.warm_max_pe_delta =
-            std::max(report.warm_max_pe_delta, std::abs(w.pe - b.pe));
-      }
-      if (report.warm_max_pred_delta > tolerance) {
-        return Fail(Status::Internal(StrFormat(
-            "%s warm-start drifted past tolerance: max |dpred| %.4f "
-            "(allowed %.4f), max |dPE| %.4f",
-            report.name.c_str(), report.warm_max_pred_delta, tolerance,
-            report.warm_max_pe_delta)));
-      }
-    }
     reports.push_back(std::move(report));
   }
 
@@ -2088,12 +2001,6 @@ int RunCoreBench(const Flags& flags) {
                 ns.train * 1e3, is.train * 1e3, train_speedup,
                 naive_train_fraction * 100.0,
                 incremental_train_fraction * 100.0);
-    if (r.warm_capable) {
-      std::printf("train-warm %9.3fms  %11.3fms  %6.1fx (vs incremental "
-                  "train)\n",
-                  is.train * 1e3, r.warm.stages.train * 1e3,
-                  StageSpeedup(is.train, r.warm.stages.train));
-    }
     std::printf("predict    %9.3fms  %11.3fms\n", ns.predict * 1e3,
                 is.predict * 1e3);
     std::printf("wall       %9.3fms  %11.3fms  %6.2fx\n",
@@ -2102,12 +2009,6 @@ int RunCoreBench(const Flags& flags) {
     std::printf("verify: %zu predictions + error metrics byte-identical "
                 "across %zu vehicles (exact)\n",
                 r.predictions, datasets.size());
-    if (r.warm_capable) {
-      std::printf("verify: warm-start within tolerance, max |dpred|=%.4f "
-                  "max |dPE|=%.4f (hits=%.0f cold=%.0f invalidated=%.0f)\n",
-                  r.warm_max_pred_delta, r.warm_max_pe_delta, r.warm_hits,
-                  r.warm_cold_starts, r.warm_invalidations);
-    }
   }
 
   std::ofstream json(json_path, std::ios::trunc);
@@ -2115,7 +2016,7 @@ int RunCoreBench(const Flags& flags) {
   json << StrFormat(
       "{\n"
       "  \"bench\": \"core\",\n"
-      "  \"schema_version\": 2,\n"
+      "  \"schema_version\": 3,\n"
       "  \"fleet_vehicles\": %zu,\n"
       "  \"benched_vehicles\": %zu,\n"
       "  \"predictions\": %zu,\n"
@@ -2153,7 +2054,7 @@ int RunCoreBench(const Flags& flags) {
         "      \"naive_train_fraction\": %.4f,\n"
         "      \"incremental_train_fraction\": %.4f,\n"
         "      \"total_speedup\": %.3f,\n"
-        "      \"warm_supported\": %s,\n",
+        "      \"verify\": \"exact-match\"\n    }%s\n",
         r.name.c_str(), r.naive.wall_seconds, r.incremental.wall_seconds,
         ns.window, is.window, ns.select, is.select, ns.scale, is.scale,
         ns.train, is.train, ns.predict, is.predict,
@@ -2165,25 +2066,7 @@ int RunCoreBench(const Flags& flags) {
             ? is.train / r.incremental.wall_seconds
             : 0.0,
         StageSpeedup(r.naive.wall_seconds, r.incremental.wall_seconds),
-        r.warm_capable ? "true" : "false");
-    if (r.warm_capable) {
-      json << StrFormat(
-          "      \"warm_wall_seconds\": %.6f,\n"
-          "      \"warm_train_seconds\": %.6f,\n"
-          "      \"warm_train_speedup\": %.2f,\n"
-          "      \"warm_hits\": %.0f,\n"
-          "      \"warm_cold_starts\": %.0f,\n"
-          "      \"warm_invalidations\": %.0f,\n"
-          "      \"warm_max_abs_prediction_delta\": %.6f,\n"
-          "      \"warm_max_abs_pe_delta\": %.6f,\n"
-          "      \"warm_verify\": \"tolerance-match\",\n",
-          r.warm.wall_seconds, r.warm.stages.train,
-          StageSpeedup(is.train, r.warm.stages.train), r.warm_hits,
-          r.warm_cold_starts, r.warm_invalidations, r.warm_max_pred_delta,
-          r.warm_max_pe_delta);
-    }
-    json << StrFormat("      \"verify\": \"exact-match\"\n    }%s\n",
-                      idx + 1 < reports.size() ? "," : "");
+        idx + 1 < reports.size() ? "," : "");
   }
   json << "  ]\n}\n";
   if (!json) return Fail(Status::DataLoss("write failed: " + json_path));
@@ -2204,17 +2087,6 @@ int RunCoreBench(const Flags& flags) {
           "error: %s window-stage speedup %.1fx below required %lldx\n",
           r.name.c_str(), window_speedup, min_window_speedup);
       gate_rc = 1;
-    }
-    if (min_train_speedup > 0.0 && r.warm_capable) {
-      const double warm_train_speedup =
-          StageSpeedup(r.incremental.stages.train, r.warm.stages.train);
-      if (warm_train_speedup < min_train_speedup) {
-        std::fprintf(stderr,
-                     "error: %s warm-start train-stage speedup %.2fx below "
-                     "required %.2fx\n",
-                     r.name.c_str(), warm_train_speedup, min_train_speedup);
-        gate_rc = 1;
-      }
     }
   }
   return gate_rc;
@@ -3013,38 +2885,32 @@ const std::vector<Command>& Commands() {
        {},
        RunServeBench},
       {"core-bench",
-       "time the evaluation pipeline, naive vs incremental vs warm",
+       "time the evaluation pipeline, naive vs incremental",
        "usage: vupred core-bench [--vehicles=12] [--seed=42]\n"
        "  [--max-vehicles=3] [--algorithms=LR,SVR,GB] [--algorithm=X]\n"
        "  [--eval-days=100] [--lookback=120] [--topk=20]\n"
        "  [--train-window=140] [--retrain-every=1] [--jobs=1]\n"
        "  [--json=BENCH_core.json] [--min-window-speedup=0]\n"
-       "  [--min-train-speedup=0] [--metrics-out=FILE]\n"
-       "  [--metrics-format=prom|json] [--trace]\n"
+       "  [--metrics-out=FILE] [--metrics-format=prom|json] [--trace]\n"
        "  Run the walk-forward per-vehicle evaluation on a seeded\n"
        "  synthetic fleet, once per algorithm in --algorithms\n"
        "  (--algorithm=X restricts to one): a naive path rebuilding the\n"
        "  windowed matrix and training-span ACF from scratch at every\n"
-       "  step, an incremental path advancing them in place, and -- for\n"
-       "  Lasso/SVR/GB -- a warm-start path that also resumes each\n"
-       "  solver from the previous window's state. Reports per-stage\n"
-       "  (window/select/scale/train/predict) timings plus speedups per\n"
-       "  algorithm. Always asserts the incremental path is\n"
-       "  byte-identical to naive, and the warm path within the\n"
-       "  per-algorithm tolerances of DESIGN.md section 14; exits\n"
-       "  non-zero on any divergence. --min-window-speedup=N fails the\n"
-       "  run when a windowing-stage speedup is below N;\n"
-       "  --min-train-speedup=X fails it when a warm-capable algorithm's\n"
-       "  warm train-stage speedup over the incremental path is below X\n"
-       "  (both off by default; CI smoke checks the report schema only).\n"
-       "  Writes the JSON report (schema_version 2, one entry per\n"
-       "  algorithm) to --json; --metrics-out exports the metrics\n"
-       "  snapshot (incremental advance/rebuild, warm-start decision and\n"
-       "  kernel-cache counters included).\n",
+       "  step, and an incremental path advancing them in place; both\n"
+       "  refit every model cold. Reports per-stage (window/select/\n"
+       "  scale/train/predict) timings plus speedups per algorithm.\n"
+       "  Always asserts the incremental path is byte-identical to\n"
+       "  naive; exits non-zero on any divergence.\n"
+       "  --min-window-speedup=N fails the run when a windowing-stage\n"
+       "  speedup is below N (off by default; CI smoke checks the report\n"
+       "  schema only). Writes the JSON report (schema_version 3, one\n"
+       "  entry per algorithm) to --json; --metrics-out exports the\n"
+       "  metrics snapshot (incremental advance/rebuild counters\n"
+       "  included).\n",
        {"vehicles", "seed", "max-vehicles", "algorithm", "algorithms",
         "eval-days", "lookback", "topk", "train-window", "retrain-every",
-        "jobs", "json", "min-window-speedup", "min-train-speedup",
-        "metrics-out", "metrics-format", "trace"},
+        "jobs", "json", "min-window-speedup", "metrics-out",
+        "metrics-format", "trace"},
        {},
        RunCoreBench},
       {"ingest-bench", "time the binary wire ingest path end to end",
