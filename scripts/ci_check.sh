@@ -15,8 +15,10 @@ for arg in "$@"; do
   [[ "$arg" == "--fast" ]] && FAST=1
 done
 
-echo "== tier-1: release build + ctest =="
-cmake -B build -S .
+echo "== tier-1: release build (warnings are errors) + ctest =="
+# The tier-1 build is warning-free; any new warning fails CI. Only this
+# build is strict: the sanitizer presets and perfbench keep plain -Wall.
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build -j"${JOBS}"
 (cd build && ctest --output-on-failure -j"${JOBS}")
 

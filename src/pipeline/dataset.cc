@@ -1,5 +1,11 @@
 #include "pipeline/dataset.h"
 
+#include <charconv>
+#include <climits>
+#include <cmath>
+#include <istream>
+#include <ostream>
+
 #include "common/check.h"
 #include "common/string_util.h"
 #include "pipeline/enrich.h"
@@ -93,70 +99,149 @@ VehicleDataset VehicleDataset::CompressToWorkingDays(double min_hours) const {
   return out;
 }
 
-StatusOr<VehicleDataset> VehicleDataset::FromTable(const VehicleInfo& info,
-                                                   const Table& table,
-                                                   const Country& country) {
-  if (table.num_rows() == 0) {
-    return Status::InvalidArgument("cannot rebuild dataset from zero rows");
+namespace {
+
+/// CSV columns: date, the target, then every feature.
+const std::vector<std::string>& CsvColumns() {
+  static const std::vector<std::string>& columns =
+      *new std::vector<std::string>([] {
+        std::vector<std::string> c = {"date", "utilization_hours"};
+        const std::vector<std::string>& names = VehicleDataset::FeatureNames();
+        c.insert(c.end(), names.begin(), names.end());
+        return c;
+      }());
+  return columns;
+}
+
+/// The one value class both directions of the codec accept: zero or a
+/// normal finite double (ParseDouble rejects subnormals as out of range).
+bool CsvRepresentable(double v) { return v == 0.0 || std::isnormal(v); }
+
+void AppendCsvDouble(std::string* out, double v) {
+  char buf[32];  // Shortest round-trip form is at most 24 chars.
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  VUP_CHECK(r.ec == std::errc());
+  out->append(buf, r.ptr);
+}
+
+/// Splits a CSV line on ',' into `cells` (views into `line`).
+void SplitCsvLine(std::string_view line, std::vector<std::string_view>* cells) {
+  cells->clear();
+  size_t start = 0;
+  size_t comma;
+  while ((comma = line.find(',', start)) != line.npos) {
+    cells->push_back(line.substr(start, comma - start));
+    start = comma + 1;
   }
-  VUP_ASSIGN_OR_RETURN(const Column* dates, table.ColumnByName("date"));
-  VUP_ASSIGN_OR_RETURN(const Column* hours,
-                       table.ColumnByName("utilization_hours"));
-  const std::vector<std::string>& names = FeatureNames();
-  std::vector<const Column*> engine_columns;
-  engine_columns.reserve(kNumEngineFeatures);
-  // Engine feature 0 is day_hours == utilization_hours, read separately.
-  for (size_t f = 1; f < kNumEngineFeatures; ++f) {
-    VUP_ASSIGN_OR_RETURN(const Column* col, table.ColumnByName(names[f]));
-    engine_columns.push_back(col);
+  cells->push_back(line.substr(start));
+}
+
+bool ReadCsvLine(std::istream& is, std::string* line) {
+  if (!std::getline(is, *line)) return false;
+  if (!line->empty() && line->back() == '\r') line->pop_back();
+  return true;
+}
+
+Status CellError(size_t line_no, size_t column, const std::string& what) {
+  return Status::InvalidArgument(StrFormat("line %zu, column '%s': %s",
+                                           line_no,
+                                           CsvColumns()[column].c_str(),
+                                           what.c_str()));
+}
+
+}  // namespace
+
+Status VehicleDataset::WriteCsv(std::ostream& os) const {
+  const std::vector<std::string>& columns = CsvColumns();
+  std::string row = Join(columns, ",");
+  row += '\n';
+  os << row;
+  for (size_t i = 0; i < dates_.size(); ++i) {
+    row = dates_[i].ToString();
+    std::span<const double> features = FeatureRow(i);
+    for (size_t c = 1; c < columns.size(); ++c) {
+      const double v = c == 1 ? hours_[i] : features[c - 2];
+      if (!CsvRepresentable(v)) {
+        return Status::InvalidArgument(
+            StrFormat("day %s, column '%s': %g has no CSV form",
+                      dates_[i].ToString().c_str(), columns[c].c_str(), v));
+      }
+      row += ',';
+      AppendCsvDouble(&row, v);
+    }
+    row += '\n';
+    os << row;
+  }
+  os.flush();
+  if (!os) return Status::DataLoss("CSV stream write failed");
+  return Status::OK();
+}
+
+StatusOr<VehicleDataset> VehicleDataset::ReadCsv(std::istream& is,
+                                                 const VehicleInfo& info,
+                                                 const Country& country) {
+  const std::vector<std::string>& columns = CsvColumns();
+  std::string line;
+  if (!ReadCsvLine(is, &line)) {
+    return Status::InvalidArgument("empty CSV input (missing header)");
+  }
+  std::vector<std::string_view> cells;
+  SplitCsvLine(line, &cells);
+  if (cells.size() != columns.size()) {
+    return Status::InvalidArgument(
+        StrFormat("header has %zu fields, expected %zu", cells.size(),
+                  columns.size()));
+  }
+  for (size_t c = 0; c < columns.size(); ++c) {
+    if (cells[c] != columns[c]) {
+      return Status::InvalidArgument("header field '" + std::string(cells[c]) +
+                                     "' does not match '" + columns[c] +
+                                     "'");
+    }
   }
 
   std::vector<DailyUsageRecord> records;
-  records.reserve(table.num_rows());
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    if (dates->IsNull(r) || hours->IsNull(r)) {
+  std::vector<double> values(columns.size());
+  for (size_t line_no = 2; ReadCsvLine(is, &line); ++line_no) {
+    if (line.empty()) continue;
+    SplitCsvLine(line, &cells);
+    if (cells.size() != columns.size()) {
       return Status::InvalidArgument(
-          StrFormat("NULL date or hours at row %zu", r));
+          StrFormat("line %zu has %zu fields, expected %zu", line_no,
+                    cells.size(), columns.size()));
     }
     DailyUsageRecord rec;
-    rec.date = dates->DateAt(r);
-    rec.hours = hours->DoubleAt(r);
-    auto numeric = [&](size_t index) {
-      const Column* col = engine_columns[index];
-      return col->IsNull(r) ? 0.0 : col->DoubleAt(r);
-    };
-    rec.fuel_used_l = numeric(0);
-    rec.avg_engine_load_pct = numeric(1);
-    rec.avg_engine_rpm = numeric(2);
-    rec.avg_coolant_temp_c = numeric(3);
-    rec.avg_oil_pressure_kpa = numeric(4);
-    rec.fuel_level_end_pct = numeric(5);
-    rec.distance_km = numeric(6);
-    rec.idle_hours = numeric(7);
-    rec.dtc_count = static_cast<int>(numeric(8));
+    StatusOr<Date> date = Date::Parse(cells[0]);
+    if (!date.ok()) return CellError(line_no, 0, date.status().message());
+    rec.date = date.value();
+    for (size_t c = 1; c < columns.size(); ++c) {
+      StatusOr<double> v = ParseDouble(cells[c]);
+      if (!v.ok()) return CellError(line_no, c, v.status().message());
+      if (!std::isfinite(v.value())) {
+        return CellError(line_no, c, "value is not finite");
+      }
+      values[c] = v.value();
+    }
+    // values[2] is day_hours, the same series as utilization_hours; the
+    // engine features follow it in FeatureNames() order.
+    const double dtc = values[2 + kNumEngineFeatures - 1];
+    if (dtc != std::trunc(dtc) || dtc < INT_MIN || dtc > INT_MAX) {
+      return CellError(line_no, 2 + kNumEngineFeatures - 1,
+                       "not an integer in int range");
+    }
+    rec.hours = values[1];
+    rec.fuel_used_l = values[3];
+    rec.avg_engine_load_pct = values[4];
+    rec.avg_engine_rpm = values[5];
+    rec.avg_coolant_temp_c = values[6];
+    rec.avg_oil_pressure_kpa = values[7];
+    rec.fuel_level_end_pct = values[8];
+    rec.distance_km = values[9];
+    rec.idle_hours = values[10];
+    rec.dtc_count = static_cast<int>(dtc);
     records.push_back(rec);
   }
   return Build(info, records, country);
-}
-
-StatusOr<Table> VehicleDataset::ToTable() const {
-  std::vector<Field> fields;
-  fields.push_back({"date", DataType::kDate, false});
-  fields.push_back({"utilization_hours", DataType::kDouble, false});
-  for (const std::string& name : FeatureNames()) {
-    fields.push_back({name, DataType::kDouble, false});
-  }
-  VUP_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));
-  Table table(std::move(schema));
-  for (size_t i = 0; i < dates_.size(); ++i) {
-    std::vector<Value> row;
-    row.reserve(2 + num_features());
-    row.push_back(Value::Day(dates_[i]));
-    row.push_back(Value::Real(hours_[i]));
-    for (double f : FeatureRow(i)) row.push_back(Value::Real(f));
-    VUP_RETURN_IF_ERROR(table.AppendRow(row));
-  }
-  return table;
 }
 
 }  // namespace vup

@@ -1,13 +1,13 @@
 #ifndef VUPRED_PIPELINE_DATASET_H_
 #define VUPRED_PIPELINE_DATASET_H_
 
+#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "calendar/country.h"
 #include "common/statusor.h"
-#include "table/table.h"
 #include "telemetry/usage_model.h"
 #include "telemetry/vehicle.h"
 
@@ -58,18 +58,25 @@ class VehicleDataset {
   /// scenario). Dates are preserved so calendar features stay truthful.
   VehicleDataset CompressToWorkingDays(double min_hours = 1.0) const;
 
-  /// Relational table: date, hours, then every feature column.
-  StatusOr<Table> ToTable() const;
+  /// CSV codec for one vehicle's history, one row per day. The header is
+  /// `date,utilization_hours` then every FeatureNames() column; dates are
+  /// YYYY-MM-DD and every double is written in its shortest round-trip
+  /// form, so ReadCsv(WriteCsv(ds)) reproduces `ds` bit for bit. Cells are
+  /// never quoted. Refuses (InvalidArgument) a value ReadCsv would reject:
+  /// one that is neither zero nor a normal finite double.
+  Status WriteCsv(std::ostream& os) const;
 
-  /// Inverse of ToTable for persisted datasets: rebuilds the daily records
-  /// from the table's engine-feature columns (context columns are
-  /// recomputed from the dates and `country`, so stale context in the
-  /// table cannot leak back in). The table must carry at least the
-  /// `date`, `utilization_hours` and engine-feature columns with the
-  /// canonical names, rows in consecutive-date order.
-  static StatusOr<VehicleDataset> FromTable(const VehicleInfo& info,
-                                            const Table& table,
-                                            const Country& country);
+  /// Inverse of WriteCsv. Rules: the header must match name for name; each
+  /// row has exactly the header's field count; every cell parses strictly
+  /// (no quoting, no empty cells) as a finite double or date, and
+  /// dtc_count as an integer in int range; CRLF line ends and blank lines
+  /// are tolerated; dates must be consecutive. Violations return
+  /// InvalidArgument; a bad cell names its line and column. Context
+  /// columns are validated but ignored: they are recomputed from the dates
+  /// and `country` through Build, so stale context cannot leak back in.
+  static StatusOr<VehicleDataset> ReadCsv(std::istream& is,
+                                          const VehicleInfo& info,
+                                          const Country& country);
 
  private:
   VehicleDataset() = default;

@@ -3,7 +3,9 @@
 // per-vehicle forecaster. Exercises the full reproduction pipeline the way
 // a deployment would.
 
+#include <bit>
 #include <cmath>
+#include <fstream>
 
 #include <gtest/gtest.h>
 
@@ -12,7 +14,6 @@
 #include "pipeline/aggregate.h"
 #include "pipeline/cleaning.h"
 #include "pipeline/dataset.h"
-#include "table/csv.h"
 #include "telemetry/device.h"
 #include "telemetry/fleet.h"
 
@@ -112,21 +113,29 @@ TEST(EndToEndTest, FleetToForecastPipeline) {
 }
 
 TEST(EndToEndTest, DatasetRoundTripsThroughCsv) {
-  // The relational output (step v) survives CSV persistence bit-for-bit
-  // enough for downstream analysis.
+  // The relational output (step v) survives CSV persistence exactly: every
+  // date and every double cell reads back bit for bit.
   Fleet fleet = Fleet::Generate(FleetConfig::Small(10, 23));
   VehicleDataset ds = PrepareVehicleDataset(fleet, 3).value();
-  Table table = ds.ToTable().value();
   std::string path = ::testing::TempDir() + "/vup_e2e_dataset.csv";
-  ASSERT_TRUE(WriteCsvFile(table, path).ok());
-  Table loaded = ReadCsvFile(path, table.schema()).value();
-  ASSERT_EQ(loaded.num_rows(), table.num_rows());
-  // Spot-check a few cells.
-  for (size_t r = 0; r < loaded.num_rows(); r += 97) {
-    EXPECT_EQ(loaded.At(r, 0), table.At(r, 0));
-    double a = loaded.At(r, 1).AsDouble().value();
-    double b = table.At(r, 1).AsDouble().value();
-    EXPECT_NEAR(a, b, 1e-4);  // %g rendering precision.
+  {
+    std::ofstream out(path);
+    ASSERT_TRUE(ds.WriteCsv(out).ok());
+  }
+  std::ifstream in(path);
+  VehicleDataset loaded =
+      VehicleDataset::ReadCsv(in, ds.info(), ds.country()).value();
+  ASSERT_EQ(loaded.num_days(), ds.num_days());
+  for (size_t d = 0; d < ds.num_days(); ++d) {
+    ASSERT_EQ(loaded.dates()[d], ds.dates()[d]);
+    ASSERT_EQ(std::bit_cast<uint64_t>(loaded.hours()[d]),
+              std::bit_cast<uint64_t>(ds.hours()[d]))
+        << "day " << d;
+    for (size_t f = 0; f < ds.num_features(); ++f) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(loaded.feature(d, f)),
+                std::bit_cast<uint64_t>(ds.feature(d, f)))
+          << "day " << d << " feature " << f;
+    }
   }
 }
 

@@ -8,6 +8,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -38,6 +40,17 @@ std::string ReadFile(const std::string& path) {
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
+}
+
+/// `text` in double quotes. Appended piecewise: GCC 12 reports a false
+/// -Wrestrict on `"\"" + std::string(...) + "\""`.
+std::string Quoted(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  out += '"';
+  out += text;
+  out += '"';
+  return out;
 }
 
 /// Reads the country of the first manifest vehicle.
@@ -146,6 +159,94 @@ TEST(CliTest, BadUsageFailsCleanly) {
 int CliExitCode(const std::string& args) {
   int raw = RunCli(args + " 2> /dev/null");
   return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+}
+
+TEST(CliTest, UnknownAlgorithmOrScenarioExitsTwo) {
+  std::string dir = TempDir();
+  ASSERT_EQ(RunCli("generate --out=" + dir + " --vehicles=2 --seed=7"), 0);
+  const std::string data = " --data=" + dir + "/vehicle_100000.csv";
+  const std::string err = dir + "/enum_err.txt";
+  EXPECT_EQ(CliExitCode("train" + data + " --out=" + dir +
+                        "/never.txt --algorithm=Foo"),
+            2);
+  EXPECT_TRUE(ReadFile(dir + "/never.txt").empty());
+  EXPECT_EQ(CliExitCode("evaluate" + data + " --algorithm=svr"), 2);
+  EXPECT_EQ(CliExitCode("evaluate" + data + " --scenario=next-wrking-day"),
+            2);
+  EXPECT_EQ(CliExitCode("fleet --vehicles=4 --algorithm=Foo"), 2);
+  EXPECT_EQ(CliExitCode("publish --out=" + dir +
+                        "/never_registry --algorithm=Foo"),
+            2);
+
+  // The message lists the valid values.
+  RunCli("fleet --algorithm=Foo 2> " + err);
+  EXPECT_NE(ReadFile(err).find("LV|MA|LR|Lasso|SVR|GB"), std::string::npos)
+      << ReadFile(err);
+  RunCli("evaluate" + data + " --scenario=nope 2> " + err);
+  EXPECT_NE(ReadFile(err).find("next-day|next-working-day"),
+            std::string::npos)
+      << ReadFile(err);
+}
+
+/// Copies generated dataset `src` to `dst`, setting the cells of `columns`
+/// on the `from_end`-th data row counted from the end to `cell`.
+void WriteTamperedCsv(const std::string& src, const std::string& dst,
+                      size_t from_end, const std::vector<size_t>& columns,
+                      const std::string& cell) {
+  std::vector<std::string> lines;
+  std::istringstream in(ReadFile(src));
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_GT(lines.size(), from_end + 1);
+  std::string& row = lines[lines.size() - from_end];
+  std::vector<std::string> cells;
+  std::istringstream fields(row);
+  for (std::string c; std::getline(fields, c, ',');) cells.push_back(c);
+  for (size_t column : columns) cells[column] = cell;
+  row.clear();
+  for (size_t i = 0; i < cells.size(); ++i) {
+    if (i > 0) row += ',';
+    row += cells[i];
+  }
+  std::ofstream out(dst);
+  for (const std::string& line : lines) out << line << '\n';
+}
+
+TEST(CliTest, HostileDatasetCsvIsRejected) {
+  std::string dir = TempDir();
+  ASSERT_EQ(RunCli("generate --out=" + dir + " --vehicles=2 --seed=7"), 0);
+  const std::string data = dir + "/vehicle_100000.csv";
+  // Columns: 1 utilization_hours, 2 day_hours, 11 dtc_count. A NaN day
+  // inside the training span used to train a model full of nan tokens.
+  const std::string nan_csv = dir + "/nan.csv";
+  WriteTamperedCsv(data, nan_csv, 30, {1, 2}, "nan");
+  const std::string model = dir + "/nan_model.txt";
+  std::remove(model.c_str());
+  EXPECT_EQ(CliExitCode("train --data=" + nan_csv + " --out=" + model +
+                        " --algorithm=Lasso"),
+            1);
+  EXPECT_TRUE(ReadFile(model).empty());
+  const std::string err = dir + "/nan_err.txt";
+  RunCli("evaluate --data=" + nan_csv + " 2> " + err);
+  EXPECT_NE(ReadFile(err).find("column 'utilization_hours'"),
+            std::string::npos)
+      << ReadFile(err);
+
+  // A dtc_count far outside int range is refused before any cast.
+  const std::string good_model = dir + "/good_model.txt";
+  ASSERT_EQ(CliExitCode("train --data=" + data + " --out=" + good_model +
+                        " --algorithm=Lasso"),
+            0);
+  EXPECT_EQ(CliExitCode("predict --data=" + data + " --model=" + good_model),
+            0);
+  const std::string dtc_csv = dir + "/dtc.csv";
+  WriteTamperedCsv(data, dtc_csv, 5, {11}, "1e300");
+  RunCli("predict --data=" + dtc_csv + " --model=" + good_model + " 2> " +
+         err);
+  EXPECT_NE(ReadFile(err).find("column 'dtc_count'"), std::string::npos)
+      << ReadFile(err);
+  EXPECT_EQ(CliExitCode("predict --data=" + dtc_csv +
+                        " --model=" + good_model),
+            1);
 }
 
 TEST(CliTest, HelpExitsZeroForEveryCommand) {
@@ -465,7 +566,7 @@ TEST(CliTest, CoreBenchVerifiesEquivalenceAndWritesJson) {
        {"benched_vehicles", "predictions", "algorithm",
         "naive_window_seconds", "incremental_window_seconds",
         "window_stage_speedup", "select_stage_speedup", "total_speedup"}) {
-    EXPECT_NE(json.find("\"" + std::string(field) + "\""),
+    EXPECT_NE(json.find(Quoted(field)),
               std::string::npos)
         << field;
   }
@@ -544,7 +645,7 @@ TEST(CliTest, IngestBenchVerifiesRecoveryAndWritesJson) {
        {"reports", "frames", "stream_bytes", "wal_bytes", "encode_seconds",
         "encode_mb_per_s", "encode_reports_per_s", "decode_seconds",
         "wal_ingest_seconds", "recover_seconds", "recover_reports_per_s"}) {
-    EXPECT_NE(json.find("\"" + std::string(field) + "\""),
+    EXPECT_NE(json.find(Quoted(field)),
               std::string::npos)
         << field;
   }
@@ -611,7 +712,7 @@ TEST(CliTest, CoreBenchReportsTrainStagePerAlgorithm) {
     for (const char* field :
          {"schema_version", "train_stage_speedup", "naive_train_fraction",
           "incremental_train_fraction"}) {
-      EXPECT_NE(json.find("\"" + std::string(field) + "\""),
+      EXPECT_NE(json.find(Quoted(field)),
                 std::string::npos)
           << alg << " missing " << field;
     }
@@ -656,7 +757,7 @@ TEST(CliTest, ClusterBenchSmokeProvesDeterminismAndColdStart) {
         "per_vehicle_pe", "per_cluster_pe", "global_pe",
         "per_cluster_vs_vehicle_ratio", "cold_start_vehicle",
         "cold_start_fallback_cluster_total"}) {
-    EXPECT_NE(json.find("\"" + std::string(field) + "\""),
+    EXPECT_NE(json.find(Quoted(field)),
               std::string::npos)
         << field;
   }
@@ -797,7 +898,7 @@ TEST(CliTest, PublishBenchVerifiesGuardedPathAndWritesJson) {
         "promote_seconds", "scrub_seconds", "rollback_seconds",
         "canary_shadow_scores", "scrub_files_checked", "scrub_corruptions",
         "corruption_kind", "quarantined_models", "victim_served_level"}) {
-    EXPECT_NE(json.find("\"" + std::string(field) + "\""),
+    EXPECT_NE(json.find(Quoted(field)),
               std::string::npos)
         << field;
   }

@@ -42,6 +42,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -66,7 +67,6 @@
 #include "serve/prediction_service.h"
 #include "serve/scrubber.h"
 #include "serve/validator.h"
-#include "table/csv.h"
 #include "telemetry/fault_injector.h"
 #include "telemetry/fleet.h"
 #include "wire/frame.h"
@@ -85,12 +85,13 @@ class Flags {
         extra_.push_back(arg);
         continue;
       }
-      size_t eq = arg.find('=');
-      if (eq == std::string::npos) {
-        values_[arg.substr(2)] = "1";
-      } else {
-        values_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-      }
+      const size_t eq = arg.find('=');
+      const bool bare = eq == std::string::npos;  // A bare --key means "1".
+      // Values are constructed, not assigned from a literal: GCC 12 reports
+      // a false -Wrestrict on string::operator=(const char*) here.
+      values_.insert_or_assign(
+          arg.substr(2, bare ? std::string::npos : eq - 2),
+          bare ? std::string(1, '1') : arg.substr(eq + 1));
     }
   }
 
@@ -211,29 +212,39 @@ StatusOr<VehicleDataset> LoadDatasetCsv(const std::string& path,
                                         const std::string& country_code) {
   VUP_ASSIGN_OR_RETURN(const Country* country,
                        CountryRegistry::Global().Find(country_code));
-  // Schema: date, utilization_hours, then every canonical feature column.
-  std::vector<Field> fields;
-  fields.push_back({"date", DataType::kDate, false});
-  fields.push_back({"utilization_hours", DataType::kDouble, false});
-  for (const std::string& name : VehicleDataset::FeatureNames()) {
-    fields.push_back({name, DataType::kDouble, false});
-  }
-  VUP_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));
-  VUP_ASSIGN_OR_RETURN(Table table, ReadCsvFile(path, schema));
+  std::ifstream in(path);
+  if (!in) return Status::NotFound("cannot open for read: " + path);
   VehicleInfo info;
   info.vehicle_id = 1;
   info.country_code = country_code;
-  return VehicleDataset::FromTable(info, table, *country);
+  return VehicleDataset::ReadCsv(in, info, *country);
 }
 
-ForecasterConfig MakeForecasterConfig(const Flags& flags) {
-  ForecasterConfig cfg;
-  std::string alg = flags.Get("algorithm", "GB");
+/// Resolves --algorithm (default `fallback`). An unknown name is reported
+/// with the valid ones and yields nullopt; callers exit 2.
+std::optional<Algorithm> AlgorithmFlag(const Flags& flags,
+                                       const std::string& fallback) {
+  const std::string name = flags.Get("algorithm", fallback);
+  std::string valid;
   for (int a = 0; a < kNumAlgorithms; ++a) {
-    if (AlgorithmToString(static_cast<Algorithm>(a)) == alg) {
-      cfg.algorithm = static_cast<Algorithm>(a);
-    }
+    const Algorithm alg = static_cast<Algorithm>(a);
+    if (AlgorithmToString(alg) == name) return alg;
+    if (a > 0) valid += '|';
+    valid += AlgorithmToString(alg);
   }
+  std::fprintf(stderr, "error: unknown --algorithm=%s (%s)\n", name.c_str(),
+               valid.c_str());
+  return std::nullopt;
+}
+
+/// --algorithm/--lookback/--topk as a forecaster config; nullopt on an
+/// unknown algorithm (already reported).
+std::optional<ForecasterConfig> MakeForecasterConfig(
+    const Flags& flags, const std::string& default_algorithm = "GB") {
+  std::optional<Algorithm> alg = AlgorithmFlag(flags, default_algorithm);
+  if (!alg) return std::nullopt;
+  ForecasterConfig cfg;
+  cfg.algorithm = *alg;
   cfg.windowing.lookback_w =
       static_cast<size_t>(flags.GetInt("lookback", 60));
   cfg.selection.top_k = static_cast<size_t>(flags.GetInt("topk", 15));
@@ -249,47 +260,46 @@ int RunGenerate(const Flags& flags) {
 
   Fleet fleet = Fleet::Generate(FleetConfig::Small(vehicles, seed));
 
-  // Manifest.
-  Schema manifest_schema =
-      Schema::Make({{"vehicle_id", DataType::kInt64, false},
-                    {"type", DataType::kString, false},
-                    {"model", DataType::kString, false},
-                    {"country", DataType::kString, false},
-                    {"install_date", DataType::kDate, false},
-                    {"file", DataType::kString, false}})
-          .value();
-  Table manifest(manifest_schema);
-
+  // No manifest field can contain a delimiter, so rows are printed as is.
+  std::string manifest = "vehicle_id,type,model,country,install_date,file\n";
   for (size_t i = 0; i < fleet.size(); ++i) {
     StatusOr<VehicleDataset> ds = PrepareVehicleDataset(fleet, i);
     if (!ds.ok()) return Fail(ds.status());
-    StatusOr<Table> table = ds.value().ToTable();
-    if (!table.ok()) return Fail(table.status());
     const VehicleInfo& info = fleet.vehicle(i);
-    std::string file = StrFormat("vehicle_%lld.csv",
-                                 static_cast<long long>(info.vehicle_id));
-    Status written = WriteCsvFile(table.value(), out_dir + "/" + file);
+    const std::string file = StrFormat(
+        "vehicle_%lld.csv", static_cast<long long>(info.vehicle_id));
+    std::ofstream out(out_dir + "/" + file);
+    if (!out) {
+      return Fail(
+          Status::NotFound("cannot open for write: " + out_dir + "/" + file));
+    }
+    Status written = ds.value().WriteCsv(out);
     if (!written.ok()) return Fail(written);
-    Status appended = manifest.AppendRow(
-        {Value::Int(info.vehicle_id),
-         Value::Str(std::string(VehicleTypeToString(info.type))),
-         Value::Str(info.model_id), Value::Str(info.country_code),
-         Value::Day(info.install_date), Value::Str(file)});
-    if (!appended.ok()) return Fail(appended);
+    manifest += StrFormat("%lld,%s,%s,%s,%s,%s\n",
+                          static_cast<long long>(info.vehicle_id),
+                          std::string(VehicleTypeToString(info.type)).c_str(),
+                          info.model_id.c_str(), info.country_code.c_str(),
+                          info.install_date.ToString().c_str(), file.c_str());
   }
-  Status written = WriteCsvFile(manifest, out_dir + "/manifest.csv");
-  if (!written.ok()) return Fail(written);
+  std::ofstream out(out_dir + "/manifest.csv");
+  out << manifest;
+  out.flush();
+  if (!out) {
+    return Fail(Status::DataLoss("write failed: " + out_dir + "/manifest.csv"));
+  }
   std::printf("wrote %zu vehicle datasets + manifest.csv to %s\n",
               fleet.size(), out_dir.c_str());
   return 0;
 }
 
 int RunTrain(const Flags& flags) {
+  std::optional<ForecasterConfig> made = MakeForecasterConfig(flags);
+  if (!made) return 2;
+  const ForecasterConfig& cfg = *made;
   StatusOr<VehicleDataset> ds =
       LoadDatasetCsv(flags.Get("data", ""), flags.Get("country", "IT"));
   if (!ds.ok()) return Fail(ds.status());
 
-  ForecasterConfig cfg = MakeForecasterConfig(flags);
   size_t n = ds.value().num_days();
   size_t train_days = static_cast<size_t>(flags.GetInt("train-days", 200));
   size_t begin = n > train_days ? n - train_days : cfg.windowing.lookback_w;
@@ -330,18 +340,26 @@ int RunPredict(const Flags& flags) {
 }
 
 int RunEvaluate(const Flags& flags) {
+  EvaluationConfig cfg;
+  std::optional<ForecasterConfig> forecaster = MakeForecasterConfig(flags);
+  if (!forecaster) return 2;
+  cfg.forecaster = *forecaster;
+  const std::string scenario = flags.Get("scenario", "next-day");
+  if (scenario == "next-working-day") {
+    cfg.scenario = Scenario::kNextWorkingDay;
+  } else if (scenario != "next-day") {
+    std::fprintf(stderr,
+                 "error: unknown --scenario=%s (next-day|next-working-day)\n",
+                 scenario.c_str());
+    return 2;
+  }
   StatusOr<VehicleDataset> ds =
       LoadDatasetCsv(flags.Get("data", ""), flags.Get("country", "IT"));
   if (!ds.ok()) return Fail(ds.status());
 
-  EvaluationConfig cfg;
-  cfg.forecaster = MakeForecasterConfig(flags);
   cfg.eval_days = static_cast<size_t>(flags.GetInt("eval-days", 60));
   cfg.retrain_every = static_cast<size_t>(flags.GetInt("retrain-every", 7));
   cfg.train_window = static_cast<size_t>(flags.GetInt("train-window", 140));
-  cfg.scenario = flags.Get("scenario", "next-day") == "next-working-day"
-                     ? Scenario::kNextWorkingDay
-                     : Scenario::kNextDay;
   StatusOr<VehicleEvaluation> ev = EvaluateVehicle(ds.value(), cfg);
   if (!ev.ok()) return Fail(ev.status());
   std::printf("algorithm=%s scenario=%s predictions=%zu PE=%.2f%% "
@@ -368,6 +386,9 @@ int RunFleet(const Flags& flags) {
                  profile_name.c_str());
     return 2;
   }
+  std::optional<ForecasterConfig> forecaster =
+      MakeForecasterConfig(flags, "Lasso");
+  if (!forecaster) return 2;
 
   int64_t vehicles = flags.GetInt("vehicles", 40);
   if (vehicles <= 0) {
@@ -405,8 +426,7 @@ int RunFleet(const Flags& flags) {
   opts.jobs = static_cast<size_t>(jobs);
 
   EvaluationConfig cfg;
-  cfg.forecaster = MakeForecasterConfig(flags);
-  if (!flags.Has("algorithm")) cfg.forecaster.algorithm = Algorithm::kLasso;
+  cfg.forecaster = *forecaster;
   if (!flags.Has("lookback")) cfg.forecaster.windowing.lookback_w = 21;
   if (!flags.Has("topk")) cfg.forecaster.selection.top_k = 7;
   cfg.eval_days = static_cast<size_t>(flags.GetInt("eval-days", 20));
@@ -487,11 +507,13 @@ int RunPublish(const Flags& flags) {
                 restored.value().c_str());
     return 0;
   }
+  std::optional<Algorithm> algorithm = AlgorithmFlag(flags, "Lasso");
+  if (!algorithm) return 2;
   serve::RegistryMeta meta;
   meta.fleet_seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   meta.fleet_vehicles =
       static_cast<size_t>(flags.GetInt("vehicles", 40));
-  meta.algorithm = flags.Get("algorithm", "Lasso");
+  meta.algorithm = std::string(AlgorithmToString(*algorithm));
   const size_t max_vehicles =
       static_cast<size_t>(flags.GetInt("max-vehicles", 6));
   const size_t train_days =
@@ -509,12 +531,7 @@ int RunPublish(const Flags& flags) {
   }
 
   ForecasterConfig cfg;
-  cfg.algorithm = Algorithm::kLasso;
-  for (int a = 0; a < kNumAlgorithms; ++a) {
-    if (AlgorithmToString(static_cast<Algorithm>(a)) == meta.algorithm) {
-      cfg.algorithm = static_cast<Algorithm>(a);
-    }
-  }
+  cfg.algorithm = *algorithm;
   cfg.windowing.lookback_w =
       static_cast<size_t>(flags.GetInt("lookback", 21));
   cfg.selection.top_k = static_cast<size_t>(flags.GetInt("topk", 7));
@@ -2331,19 +2348,11 @@ int RunClusterBench(const Flags& flags) {
   const long long max_pe_ratio_pct =
       std::max<long long>(flags.GetInt("max-pe-ratio-pct", 0), 0);
 
+  std::optional<Algorithm> algorithm = AlgorithmFlag(flags, "Lasso");
+  if (!algorithm) return 2;
+  const std::string alg(AlgorithmToString(*algorithm));
   ForecasterConfig forecaster_cfg;
-  const std::string alg = flags.Get("algorithm", "Lasso");
-  bool alg_found = false;
-  for (int a = 0; a < kNumAlgorithms; ++a) {
-    if (AlgorithmToString(static_cast<Algorithm>(a)) == alg) {
-      forecaster_cfg.algorithm = static_cast<Algorithm>(a);
-      alg_found = true;
-    }
-  }
-  if (!alg_found) {
-    std::fprintf(stderr, "unknown --algorithm=%s\n", alg.c_str());
-    return 2;
-  }
+  forecaster_cfg.algorithm = *algorithm;
   if (forecaster_cfg.algorithm == Algorithm::kLastValue ||
       forecaster_cfg.algorithm == Algorithm::kMovingAverage) {
     std::fprintf(stderr,
